@@ -1,8 +1,8 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Package metadata: the only build configuration (there is no ``pyproject.toml``).
 
-``pip install -e . --no-use-pep517 --no-build-isolation`` uses this file
-directly (legacy editable install); PEP 517 front-ends read
-``pyproject.toml`` instead.
+``pip install -e .`` installs the ``repro`` package from ``src/`` and the
+``repro-bgp`` console script; without the ``wheel`` package use
+``pip install -e . --no-use-pep517 --no-build-isolation``.
 """
 
 from setuptools import find_packages, setup

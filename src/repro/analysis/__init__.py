@@ -14,10 +14,7 @@ On top of the single-statement rules sits a dataflow layer
 (:mod:`repro.analysis.dataflow`) that verifies the resident-shard
 **sync protocol** itself — unrecorded holder-state mutations (RPR030),
 router-config attributes missing from the epoch fingerprint (RPR031),
-and module state aliased across the fork boundary (RPR032) — plus an
-opt-in runtime twin (:mod:`repro.analysis.sanitizer`,
-``REPRO_SANITIZE=1``) that checks the same protocol live at the pool's
-dispatch points.
+and module state aliased across the fork boundary (RPR032).
 
 Entry points:
 
@@ -65,7 +62,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.model import ModuleInfo, Suppression, Violation
 from repro.analysis.rules import MODULE_RULES, Rule
-from repro.analysis.sanitizer import SANITIZE_ENV, ProtocolViolationError
 
 __all__ = [
     "ALL_PROJECT_RULES",
@@ -83,10 +79,8 @@ __all__ = [
     "ModuleInfo",
     "PARENT_ENTRY_POINTS",
     "PROJECT_RULES",
-    "ProtocolViolationError",
     "ResidentStateRecordRule",
     "Rule",
-    "SANITIZE_ENV",
     "ShardPurityRule",
     "Suppression",
     "Violation",

@@ -114,8 +114,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{args.experiment!r} (from {token!r}); known: "
                 f"{', '.join(sorted(known)) or 'none'}"
             )
-    if getattr(args, "residency", None) is not None:
-        params.setdefault("residency", args.residency)
     try:
         spec = experiment_cls.default_spec(seed=args.seed, scale=args.scale, **params)
         experiment = experiment_cls(spec)
@@ -188,6 +186,17 @@ def _parse_shards(value: str) -> int | str:
         raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {value!r}")
 
 
+def _positive_int(value: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return number
+
+
 def _cmd_export_mrt(args: argparse.Namespace) -> int:
     if args.source != "harvest" and args.shards is not None:
         raise SystemExit(
@@ -231,21 +240,16 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         if args.preseed:
             simulator.announce_originated()
         window = args.window if args.window is not None else DEFAULT_WINDOW
-        service = SimulatorService(simulator, window=window, residency=args.residency)
+        service = SimulatorService(simulator, window=window)
         try:
-            # The context manager scopes the --residency provider over
-            # the whole session (and drains the buffer on clean exit,
-            # though the explicit drain below keeps the error handling
-            # in one place).
-            with service:
-                if args.events == "-":
-                    for event in read_event_stream(sys.stdin):
+            if args.events == "-":
+                for event in read_event_stream(sys.stdin):
+                    service.feed(event)
+            else:
+                with open(args.events, "r", encoding="utf-8") as handle:
+                    for event in read_event_stream(handle):
                         service.feed(event)
-                else:
-                    with open(args.events, "r", encoding="utf-8") as handle:
-                        for event in read_event_stream(handle):
-                            service.feed(event)
-                service.drain()
+            service.drain()
         except (RoutingError, OSError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -313,13 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="experiment parameter override (repeatable; value parsed as JSON)",
     )
-    run.add_argument(
-        "--residency",
-        choices=["auto", "pinned", "none"],
-        default=None,
-        help="shard-pool residency policy scoped over the run "
-        "(shorthand for --param residency=...)",
-    )
     run.add_argument("--json", action="store_true", help="print the serializable result")
     run.add_argument(
         "--output",
@@ -346,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subparsers.add_parser(
         "sweep", parents=[seeded], help="run the Section 7.6 blackhole sweep"
     )
-    sweep.add_argument("--probes", type=int, default=60)
+    sweep.add_argument("--probes", type=_positive_int, default=60)
     sweep.add_argument("--no-confirm", action="store_true")
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -403,12 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="propagation shard policy for the convergence batches (or 'auto')",
-    )
-    stream.add_argument(
-        "--residency",
-        choices=["auto", "pinned", "none"],
-        default=None,
-        help="shard-pool residency policy scoped over the stream session",
     )
     stream.add_argument(
         "--preseed",

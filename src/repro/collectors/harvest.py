@@ -265,7 +265,7 @@ def _harvest_sharded(
         for slot in live_slots:
             sync = slot_sync.get(slot, {})
             states = shard_module.capture_prefix_state(simulator, list(sync), holders=sync)
-            epoch, config = pool.sync_header(slot, simulator._pool_lease.config_blob)
+            epoch, config = pool.sync_header(slot, lambda: simulator._pool_config)
             pool.shipped_state_entries += len(states)
             futures.append(
                 pool.submit(

@@ -101,19 +101,9 @@ def _spec_shards(spec: ExperimentSpec) -> int:
     return 1
 
 
-def _initialize_grid_worker(shard_budget: int, residency: str | None = None) -> None:
-    """Grid worker initializer: pin the shard budget, install residency.
-
-    The residency provider is installed process-wide (bottom of the
-    scope stack) so every cell this worker runs shares one warm pool
-    set for the worker's lifetime; a cell spec carrying its own
-    ``residency`` parameter still overrides it lexically.
-    """
+def _initialize_grid_worker(shard_budget: int) -> None:
+    """Grid worker initializer: pin this worker's propagation-shard budget."""
     os.environ[SHARD_BUDGET_ENV] = str(shard_budget)
-    if residency is not None:
-        from repro.routing.residency import install_provider
-
-        install_provider(residency)
 
 
 def _run_spec_payload(payload: dict[str, Any]) -> dict[str, Any]:
@@ -155,12 +145,6 @@ class GridRunner:
 
     #: Worker processes (None = the shard-aware budget, at most the CPU count).
     max_workers: int | None = None
-    #: Shard-pool residency policy for the cells (None = leave the
-    #: active provider alone).  Sequential runs scope one provider over
-    #: the whole grid so consecutive cells share warm workers; parallel
-    #: runs install the provider in each grid worker, where it persists
-    #: across every cell that worker serves.
-    residency: str | None = None
 
     def run(
         self,
@@ -177,8 +161,6 @@ class GridRunner:
         overhead).  With ``output_path`` every result is streamed to
         disk as a JSON line the moment it is available (spec order).
         """
-        from repro.routing.residency import residency_scope
-
         specs = list(specs)
         stream: TextIO | None = None
         if output_path is not None:
@@ -186,12 +168,11 @@ class GridRunner:
         try:
             results: list[ExperimentResult] = []
             if not parallel or len(specs) <= 1:
-                with residency_scope(self.residency):
-                    for spec in specs:
-                        result = run_experiment(spec)
-                        results.append(result)
-                        if stream is not None:
-                            _write_line(stream, result)
+                for spec in specs:
+                    result = run_experiment(spec)
+                    results.append(result)
+                    if stream is not None:
+                        _write_line(stream, result)
                 return results
             shards_per_task = max((_spec_shards(spec) for spec in specs), default=1)
             workers, shard_budget = worker_budget(
@@ -201,7 +182,7 @@ class GridRunner:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_initialize_grid_worker,
-                initargs=(shard_budget, self.residency),
+                initargs=(shard_budget,),
             ) as pool:
                 for result_payload in pool.map(_run_spec_payload, payloads):
                     result = ExperimentResult.from_dict(result_payload)

@@ -77,9 +77,8 @@ class Experiment:
     default_platforms: ClassVar[tuple[str, ...]] = ()
     default_params: ClassVar[dict[str, Any]] = {}
     #: Parameters accepted beyond ``default_params`` (attach-time knobs,
-    #: plus the propagation shard and pool-residency policies every
-    #: experiment inherits).
-    optional_params: ClassVar[tuple[str, ...]] = ("upstream_count", "shards", "residency")
+    #: plus the propagation shard policy every experiment inherits).
+    optional_params: ClassVar[tuple[str, ...]] = ("upstream_count", "shards")
 
     def __init__(self, spec: ExperimentSpec):
         if spec.name != self.name:
@@ -246,20 +245,6 @@ class Experiment:
                 f"experiment parameter 'shards' must be an integer or 'auto', got {value!r}"
             ) from None
 
-    def residency_policy(self) -> str | None:
-        """The spec's pool-residency policy (None = whatever is active)."""
-        value = self.param("residency")
-        if value is None:
-            return None
-        from repro.routing.residency import RESIDENCY_POLICIES
-
-        if value not in RESIDENCY_POLICIES:
-            raise ExperimentError(
-                f"experiment parameter 'residency' must be one of "
-                f"{', '.join(RESIDENCY_POLICIES)}, got {value!r}"
-            )
-        return value
-
     def execute(self, ctx: ExperimentContext) -> dict[str, Any]:
         """Run the experiment; returns the JSON-safe metrics dict."""
         raise NotImplementedError
@@ -285,19 +270,13 @@ class Experiment:
         propagation policy for the duration of the run, so *every*
         simulator the experiment builds — pre-seeding, per-scenario
         baselines, sweep iterations — inherits it without each call
-        site threading a parameter.  A ``residency`` parameter likewise
-        scopes a shard-pool provider over the whole lifecycle, so
-        build→seed→execute→validate (and, when an enclosing scope with
-        the same policy is already active, consecutive grid cells) share
-        warm workers; the run's simulators are closed before the scope
-        resolves so their pools return to the provider deterministically.
+        site threading a parameter.
 
         Exceptions from the repro library are captured as
         ``status="error"`` results (so one bad grid cell never kills the
         batch); anything else propagates.
         """
-        from repro.routing.engine import BgpSimulator, propagation_shards
-        from repro.routing.residency import residency_scope
+        from repro.routing.engine import propagation_shards
 
         ctx = self.context
         timings: dict[str, float] = {}
@@ -305,30 +284,17 @@ class Experiment:
         status = ExperimentStatus.OK
         error: str | None = None
         try:
-            with propagation_shards(self.propagation_shards()), residency_scope(
-                self.residency_policy()
-            ):
-                try:
-                    for stage in ("build", "attach", "seed"):
-                        started = time.perf_counter()
-                        getattr(self, stage)(ctx)
-                        timings[stage] = time.perf_counter() - started
+            with propagation_shards(self.propagation_shards()):
+                for stage in ("build", "attach", "seed"):
                     started = time.perf_counter()
-                    metrics = self.execute(ctx) or {}
-                    timings["execute"] = time.perf_counter() - started
-                    started = time.perf_counter()
-                    accepted = self.validate(ctx, metrics)
-                    timings["validate"] = time.perf_counter() - started
-                finally:
-                    # Release every simulator's pool lease while the
-                    # residency scope is still active: under a warm
-                    # policy the pools park for the next run/cell
-                    # instead of dying with a GC finalizer later.  A
-                    # closed simulator stays fully usable — it simply
-                    # re-acquires a pool on its next sharded batch.
-                    for value in list(ctx.scratch.values()):
-                        if isinstance(value, BgpSimulator):
-                            value.close()
+                    getattr(self, stage)(ctx)
+                    timings[stage] = time.perf_counter() - started
+                started = time.perf_counter()
+                metrics = self.execute(ctx) or {}
+                timings["execute"] = time.perf_counter() - started
+                started = time.perf_counter()
+                accepted = self.validate(ctx, metrics)
+                timings["validate"] = time.perf_counter() - started
             if not accepted:
                 status = ExperimentStatus.FAILED
         except ReproError as exc:

@@ -9,6 +9,7 @@ raw :class:`MrtRecord` objects rather than being dropped.
 from __future__ import annotations
 
 import io
+import itertools
 import struct
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -73,26 +74,41 @@ def iter_stream_records(stream: BinaryIO) -> Iterator[MrtRecord]:
     archive: only the current record's header and payload are held in
     memory, which is what lets multi-gigabyte update dumps replay
     through :meth:`ObservationArchive.from_mrt` without slurping.
+
+    Framing errors name the 0-based record index and the byte offset of
+    that record's header (counted from where reading started), e.g.
+    ``record 41 at offset 18183: truncated MRT record payload``.
     """
-    while True:
+    offset = 0
+    for index in itertools.count():
         header = stream.read(MRT_HEADER_LENGTH)
         if not header:
             return
-        if len(header) < MRT_HEADER_LENGTH:
-            # A short read at EOF can still be a partial header.
-            header += _read_exact(stream, MRT_HEADER_LENGTH - len(header), "MRT common header")
-        timestamp, mrt_type, subtype, length = struct.unpack("!IHHI", header)
-        microseconds = 0
-        payload_length = length
-        if mrt_type == int(MrtType.BGP4MP_ET):
-            if payload_length < 4:
-                raise MrtError("BGP4MP_ET record too short for the microsecond field")
-            microseconds = struct.unpack(
-                "!I", _read_exact(stream, 4, "BGP4MP_ET microsecond field")
-            )[0]
-            payload_length -= 4
-        payload = _read_exact(stream, payload_length, "MRT record payload") if payload_length else b""
+        try:
+            if len(header) < MRT_HEADER_LENGTH:
+                # A short read at EOF can still be a partial header.
+                header += _read_exact(
+                    stream, MRT_HEADER_LENGTH - len(header), "MRT common header"
+                )
+            timestamp, mrt_type, subtype, length = struct.unpack("!IHHI", header)
+            microseconds = 0
+            payload_length = length
+            if mrt_type == int(MrtType.BGP4MP_ET):
+                if payload_length < 4:
+                    raise MrtError("BGP4MP_ET record too short for the microsecond field")
+                microseconds = struct.unpack(
+                    "!I", _read_exact(stream, 4, "BGP4MP_ET microsecond field")
+                )[0]
+                payload_length -= 4
+            payload = (
+                _read_exact(stream, payload_length, "MRT record payload")
+                if payload_length
+                else b""
+            )
+        except MrtError as exc:
+            raise type(exc)(f"record {index} at offset {offset}: {exc}") from None
         yield MrtRecord(timestamp, mrt_type, subtype, payload, microseconds)
+        offset += MRT_HEADER_LENGTH + length
 
 
 def decode_bgp4mp_message(record: MrtRecord) -> Bgp4mpMessage:

@@ -72,6 +72,8 @@ class AtlasPlatform:
         sit) and never land in excluded ASes (e.g. the attacker or the
         injection platform).
         """
+        if probe_count < 1:
+            raise ProbingError(f"Atlas probe count must be at least 1, got {probe_count}")
         exclude_asns = exclude_asns or set()
         rng = DeterministicRng(seed).child("atlas")
         stub_pool = [a.asn for a in topology.stub_ases() if a.asn not in exclude_asns]

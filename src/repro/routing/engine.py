@@ -74,6 +74,7 @@ see :mod:`repro.routing.stream`, a thin front end over ``apply``.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -270,23 +271,18 @@ class BgpSimulator:
         #: byte-identical in the parent, so shipping it back would be
         #: pure serialization overhead.
         self._last_touched: dict[Prefix, set[int]] = {}
-        #: The provider lease through which this simulator reaches its
-        #: shard pool (see :mod:`repro.routing.residency`).  The lease —
-        #: not the simulator — owns the router-config epoch state.
-        self._pool_lease = None
+        self._shard_pool = None
+        self._pool_finalizer: weakref.finalize | None = None
         #: The (prefix -> routers) pairs the parent mutated since it last
         #: shipped that prefix's state to its resident shard worker.
-        #: Seeded with the full holder map when a pool is first leased;
-        #: grown by sequential applies run while a pool exists (or while
-        #: a warm pool is resumable); drained by sharded dispatches and
-        #: harvests.  Empty for prefixes whose worker-side state already
-        #: equals the parent's.
+        #: Seeded with the full holder map at pool construction; grown by
+        #: sequential applies run while a pool exists; drained by sharded
+        #: dispatches and harvests.  Empty for prefixes whose worker-side
+        #: state already equals the parent's.
         self._pending_sync: dict[Prefix, set[int]] = {}
-        #: Whether a warm pool released by this simulator may still be
-        #: resumed: while ``True``, sequential applies keep extending the
-        #: pending-sync continuation so a re-acquired warm pool needs
-        #: only the delta, not the full holder map.
-        self._residency_resumable = False
+        #: The router configuration capture the live pool's epoch
+        #: reflects (see ``_refresh_pool_epoch``).
+        self._pool_config: dict[int, tuple] | None = None
         #: Wire-codec attribute interner: every delta decoded on merge
         #: replay shares one ``PathAttributes``/``ASPath``/``CommunitySet``
         #: object per distinct value, for the simulator's whole lifetime.
@@ -298,32 +294,14 @@ class BgpSimulator:
             }
             self.routers[asys.asn] = Router(asys, relationships)
 
-    @property
-    def _shard_pool(self):
-        """The leased pool, or ``None`` (read-only view over the lease)."""
-        lease = self._pool_lease
-        return None if lease is None else lease.pool
-
     def close(self) -> None:
-        """Release the shard-pool lease (idempotent; also runs on GC).
-
-        Under the default ``"none"`` residency provider this shuts the
-        workers down, exactly as before; under a warm provider the pool
-        is parked for reuse and this simulator keeps its pending-sync
-        continuation so a later re-acquire resumes residency instead of
-        re-shipping the full holder map.
-        """
-        lease = self._pool_lease
-        self._pool_lease = None
-        if lease is None:
-            if not self._residency_resumable:
-                self._pending_sync = {}
-            return
-        if lease.release():
-            self._residency_resumable = True
-        else:
-            self._residency_resumable = False
-            self._pending_sync = {}
+        """Shut down the shard worker pool (idempotent; also runs on GC)."""
+        if self._pool_finalizer is not None:
+            self._pool_finalizer()
+            self._pool_finalizer = None
+        self._shard_pool = None
+        self._pool_config = None
+        self._pending_sync = {}
 
     def router(self, asn: int) -> Router:
         """Return the router of ``asn``."""
@@ -432,11 +410,10 @@ class BgpSimulator:
         shard_count = self._resolve_shards(shards, len({e.prefix for e in events}))
         if shard_count <= 1:
             report = self._apply_local(events)
-            if self._pool_lease is not None or self._residency_resumable:
-                # A resident pool exists (or a released warm pool may be
-                # resumed) but this batch ran in-process: every pair it
-                # touched is now newer in the parent than in the
-                # workers, so it must ship with the next dispatch.
+            if self._shard_pool is not None:
+                # A resident pool exists but this batch ran in-process:
+                # every pair it touched is now newer in the parent than
+                # in the workers, so it must ship with the next dispatch.
                 for prefix, touched in self._last_touched.items():
                     self._pending_sync.setdefault(prefix, set()).update(touched)
         else:
@@ -559,7 +536,7 @@ class BgpSimulator:
                         sync[prefix] = pending
                 states = shard_module.capture_prefix_state(self, list(sync), holders=sync)
                 slot = pool.slot_for(shard_index)
-                epoch, config = pool.sync_header(slot, self._pool_lease.config_blob)
+                epoch, config = pool.sync_header(slot, lambda: self._pool_config)
                 pool.shipped_state_entries += len(states)
                 futures.append(
                     pool.submit(
@@ -592,63 +569,72 @@ class BgpSimulator:
         return report
 
     def _ensure_pool(self, wanted_shards: int):
-        """The leased resident worker pool: re-acquired to grow *or* shrink.
+        """The resident worker pool: rebuilt to grow *or* shrink.
 
         The pool's shard count is pinned at construction (that is what
         keeps shard-to-slot placement — and therefore worker residency —
         stable across batches), so a batch wanting more shards than the
-        pool has forces a re-acquire; so does a CPU budget that dropped
+        pool has forces a rebuild; so does a CPU budget that dropped
         below the pool's worker count (``propagation_shards`` scope
-        exit, ``REPRO_SHARD_BUDGET`` change).  Acquisition goes through
-        the active :class:`~repro.routing.residency.PoolProvider`: under
-        a warm policy a compatible released pool is resumed (keeping the
-        pending-sync continuation) or adopted; otherwise a fresh pool is
-        built and residency restarts with the pending-sync set seeded
-        from the full holder map.
+        exit, ``REPRO_SHARD_BUDGET`` change).  A rebuild restarts
+        residency: the pending-sync set is re-seeded with the full
+        holder map.
         """
-        from repro.routing.residency import current_provider
-        from repro.routing.shard import shard_worker_budget
+        from repro.routing.shard import ShardPool, capture_router_config, shard_worker_budget
 
         limit = self.max_workers if self.max_workers is not None else shard_worker_budget()
-        lease = self._pool_lease
-        if lease is not None:
-            pool = lease.pool
+        pool = self._shard_pool
+        if pool is not None:
             if wanted_shards <= pool.shards and pool.workers <= max(
                 1, min(pool.shards, limit)
             ):
                 return pool
             wanted_shards = max(wanted_shards, pool.shards)
             self.close()
-        lease = current_provider().acquire(self, wanted_shards)
-        self._pool_lease = lease
-        self._residency_resumable = False
-        if not lease.resumed:
-            self._pending_sync = {
-                prefix: set(holders) for prefix, holders in self._prefix_holders.items()
-            }
-        return lease.pool
+        workers = max(1, min(wanted_shards, limit))
+        config = capture_router_config(self)
+        # The snapshot tuple is handed over as live objects: the pool
+        # parks it in the pre-fork registry and workers inherit it via
+        # fork copy-on-write (no per-worker pickle round trip).
+        pool = ShardPool(
+            (self.topology, config),
+            max_rounds=self.max_rounds,
+            workers=workers,
+            shards=wanted_shards,
+        )
+        self._shard_pool = pool
+        self._pool_config = config
+        self._pending_sync = {
+            prefix: set(holders) for prefix, holders in self._prefix_holders.items()
+        }
+        # GC of the simulator must not leak worker processes.
+        self._pool_finalizer = weakref.finalize(self, ShardPool.shutdown, pool)
+        return pool
 
     def _refresh_pool_epoch(self, pool) -> None:
         """Bump the pool epoch when the router configuration changed.
 
         Policy objects compare by identity (hand-swapping one is the
-        reconfiguration signal), so the lease's capture comparison is
-        exactly "did anyone replace a router's config since the last
-        dispatch".  An epoch bump makes every worker discard its
-        resident state, so the parent re-arms the pending-sync set with
-        the full holder map.
+        reconfiguration signal), so the capture comparison is exactly
+        "did anyone replace a router's config since the last dispatch".
+        An epoch bump makes every worker discard its resident state, so
+        the parent re-arms the pending-sync set with the full holder map.
         """
-        lease = self._pool_lease
-        if lease is not None and lease.refresh(self):
+        from repro.routing.shard import capture_router_config
+
+        current = capture_router_config(self)
+        if current != self._pool_config:
+            self._pool_config = current
+            pool.bump_epoch()
             self._pending_sync = {
                 prefix: set(holders) for prefix, holders in self._prefix_holders.items()
             }
 
     def _invalidate_pool(self) -> None:
         """Discard all resident worker state (after a failed dispatch)."""
-        lease = self._pool_lease
-        if lease is not None:
-            lease.invalidate()
+        pool = self._shard_pool
+        if pool is not None:
+            pool.bump_epoch()
             self._pending_sync = {
                 prefix: set(holders) for prefix, holders in self._prefix_holders.items()
             }

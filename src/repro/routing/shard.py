@@ -62,6 +62,7 @@ skipped).
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import multiprocessing
 import os
@@ -71,8 +72,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.bgp.prefix import Prefix
-from repro.routing import residency, wire
-from repro.routing.residency import _LIVE_POOLS  # noqa: F401  (compat re-export)
+from repro.routing import wire
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.bgp.attributes import PathAttributes
@@ -95,11 +95,11 @@ SHIP_STATS_ENV = "REPRO_SHIP_STATS"
 #: ((neighbor_asn, adj_rib_in_entry), ...))``.
 PrefixState = tuple[Prefix, int, "PathAttributes | None", tuple]
 
-#: A shard task envelope: ``(epoch, config_blob | None,
-#: additions_blob, events_blob, states_blob)`` — all payload fields are
-#: :mod:`repro.routing.wire` blobs; the router-config blob (kind ``C``)
-#: rides along only on the first task a slot sees after an epoch bump.
-ShardTask = tuple[int, "bytes | None", bytes, bytes, bytes]
+#: A shard task envelope: ``(epoch, router_config | None,
+#: additions_blob, events_blob, states_blob)`` — the three payload
+#: fields are :mod:`repro.routing.wire` blobs; ``router_config`` rides
+#: along only on the first task a slot sees after an epoch bump.
+ShardTask = tuple[int, "dict[int, tuple] | None", bytes, bytes, bytes]
 
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
@@ -289,14 +289,14 @@ _SNAPSHOT_REGISTRY: dict[int, tuple] = {}
 def _register_snapshot(snapshot: tuple) -> int:
     """Park ``(topology, router_config)`` for fork inheritance; return its token."""
     token = next(_SNAPSHOT_TOKENS)
-    _SNAPSHOT_REGISTRY[token] = snapshot  # repro: noqa[RPR011,RPR032]: pre-fork write-once registry — the parent writes before any slot executor forks and the entry is immutable until pool teardown, so every worker's copy-on-write view is exactly the parent's (same sanctioned pattern as the sanitizer's shadow map)
+    _SNAPSHOT_REGISTRY[token] = snapshot  # repro: noqa[RPR011,RPR032]: pre-fork write-once registry — the parent writes before any slot executor forks and the entry is immutable until pool teardown, so every worker's copy-on-write view is exactly the parent's
     return token
 
 
 def _release_snapshot(token: "int | None") -> None:
     """Drop a parked snapshot (idempotent; ``None`` means pickled fallback)."""
     if token is not None:
-        _SNAPSHOT_REGISTRY.pop(token, None)  # repro: noqa[RPR011,RPR032]: parent-only teardown of the pre-fork registry entry above (shutdown and adoption re-parks); running workers forked long ago and never look the token up again
+        _SNAPSHOT_REGISTRY.pop(token, None)  # repro: noqa[RPR032]: teardown of the pre-fork registry entry above; running workers forked long ago and never look the token up again
 
 
 # ------------------------------------------------------------------- workers
@@ -374,16 +374,14 @@ def _initialize_worker(snapshot_ref: "int | bytes", max_rounds: int) -> None:
 
 
 def _sync_worker(
-    simulator: "BgpSimulator", epoch: int, router_config: "bytes | dict[int, tuple] | None"
+    simulator: "BgpSimulator", epoch: int, router_config: "dict[int, tuple] | None"
 ) -> None:
     """Bring a resident worker onto ``epoch`` before running a task.
 
     A stale epoch means the parent's router configuration changed (or a
     previous shard task failed): every resident pair was converged under
     the old rules, so all of it is discarded — the parent re-ships what
-    the next batches need through its pending-sync set.  The config
-    payload is a :func:`repro.routing.wire.encode_config` blob (a plain
-    capture dict is still accepted for direct callers).
+    the next batches need through its pending-sync set.
     """
     global _WORKER_EPOCH
     if epoch == _WORKER_EPOCH:
@@ -391,8 +389,6 @@ def _sync_worker(
     clear_prefix_state(simulator, list(simulator._prefix_holders))
     simulator._last_touched = {}
     if router_config is not None:
-        if isinstance(router_config, (bytes, bytearray)):
-            router_config = wire.decode_config(bytes(router_config))
         _apply_router_config(simulator, router_config)
     _WORKER_EPOCH = epoch
 
@@ -448,26 +444,6 @@ def _run_shard(task: ShardTask) -> tuple["SimulationReport", bytes]:
     return report, wire.encode_states(deltas)
 
 
-def _fingerprint_shard(task: tuple) -> "list[PrefixState] | None":
-    """Sanitizer audit entry point: capture the resident state of given pairs.
-
-    ``task`` is ``(epoch, pairs)`` with ``pairs`` a list of
-    ``(prefix, holder_asns)``.  Returns the worker's
-    :func:`capture_prefix_state` snapshot for exactly those pairs, or
-    ``None`` when the worker sits on a different epoch (its resident
-    state is already condemned, so there is nothing settled to compare).
-    Only dispatched by :func:`repro.analysis.sanitizer.check_drain`.
-    """
-    epoch, pairs = task
-    simulator = _resident_simulator()
-    if epoch != _WORKER_EPOCH:
-        return None
-    holders = {prefix: set(holder_asns) for prefix, holder_asns in pairs}
-    return capture_prefix_state(
-        simulator, [prefix for prefix, _holder_asns in pairs], holders=holders
-    )
-
-
 # ---------------------------------------------------------------------- pool
 def _shutdown_executors(
     executors: "list[ProcessPoolExecutor | None]", wait: bool = True
@@ -481,20 +457,23 @@ def _shutdown_executors(
 
 def _teardown_pool(
     executors: "list[ProcessPoolExecutor | None]",
-    token_holder: "list[int | None]",
+    snapshot_token: "int | None",
     wait: bool = True,
 ) -> None:
-    """Full pool teardown: stop the workers, release the parked snapshot.
-
-    ``token_holder`` is the pool's mutable one-element token cell rather
-    than a token value: :meth:`ShardPool.adopt` re-parks a new snapshot
-    mid-life, and a finalizer armed with the construction-time token
-    would release the superseded token (already freed) and leak the
-    live one.
-    """
+    """Full pool teardown: stop the workers, release the parked snapshot."""
     _shutdown_executors(executors, wait=wait)
-    _release_snapshot(token_holder[0])
-    token_holder[0] = None
+    _release_snapshot(snapshot_token)
+
+
+#: Every live pool, so the interpreter-exit hook can stop workers that
+#: neither GC (owner finalizer) nor an explicit ``shutdown`` reached.
+_LIVE_POOLS: "weakref.WeakSet[ShardPool]" = weakref.WeakSet()
+
+
+@atexit.register
+def _shutdown_live_pools() -> None:  # pragma: no cover - interpreter teardown
+    for pool in list(_LIVE_POOLS):
+        pool.shutdown(wait=False)
 
 
 class ShardPool:
@@ -552,13 +531,10 @@ class ShardPool:
         self._max_rounds = max_rounds
         self._executors: "list[ProcessPoolExecutor | None]" = [None] * self.workers
         self._slot_epochs = [0] * self.workers
-        #: Mutable cell holding the *current* parked token, shared with
-        #: the GC finalizer so an :meth:`adopt` re-park re-targets it.
-        self._token_holder: "list[int | None]" = [self._snapshot_token]
         self._finalizer = weakref.finalize(
-            self, _teardown_pool, self._executors, self._token_holder
+            self, _teardown_pool, self._executors, self._snapshot_token
         )
-        residency.track_pool(self)
+        _LIVE_POOLS.add(self)
 
     def slot_for(self, shard_index: int) -> int:
         """The worker slot that owns ``shard_index`` (pinned for life)."""
@@ -569,63 +545,24 @@ class ShardPool:
         self.epoch += 1
         return self.epoch
 
-    def adopt(self, snapshot: "tuple | bytes") -> int:
-        """Re-home the pool onto a new ``(topology, router_config)`` snapshot.
-
-        The warm-reuse path for a structurally identical topology: park
-        the new snapshot (releasing the superseded registry token), keep
-        the worker processes, and bump the epoch so every resident
-        simulator discards its state and re-syncs on its next task.
-        Slots that have not started yet fork from the new snapshot; slots
-        already running keep their old (structurally equal) topology and
-        receive the new router config through the epoch protocol.
-        """
-        previous_epoch = self.epoch
-        superseded = self._snapshot_token
-        self._snapshot_token = None
-        if isinstance(snapshot, (bytes, bytearray)):
-            self._snapshot_ref = bytes(snapshot)
-        elif _FORK_CONTEXT is not None:
-            self._snapshot_token = _register_snapshot(snapshot)
-            self._snapshot_ref = self._snapshot_token
-        else:  # pragma: no cover - spawn-only platforms
-            self._snapshot_ref = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-        self._token_holder[0] = self._snapshot_token
-        _release_snapshot(superseded)
-        self.bump_epoch()
-        if os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
-            from repro.analysis.sanitizer import check_adopt
-
-            check_adopt(self, previous_epoch)
-        return self.epoch
-
     def sync_header(
-        self, slot: int, config_supplier: "Callable[[], bytes]"
-    ) -> tuple[int, "bytes | None"]:
-        """The ``(epoch, config-blob-or-None)`` header for a task bound to ``slot``.
+        self, slot: int, config_supplier: "Callable[[], dict[int, tuple]]"
+    ) -> tuple[int, "dict[int, tuple] | None"]:
+        """The ``(epoch, config-or-None)`` header for a task bound to ``slot``.
 
-        The configuration payload — a ``wire.encode_config`` blob —
-        rides along only on the first task a slot sees after an epoch
-        bump; ``config_supplier`` is called lazily so the common
-        already-synced case pays nothing.
+        The configuration payload rides along only on the first task a
+        slot sees after an epoch bump; ``config_supplier`` is called
+        lazily so the common already-synced case pays nothing.
         """
         if self._slot_epochs[slot] != self.epoch:
             self._slot_epochs[slot] = self.epoch
-            header: "tuple[int, bytes | None]" = (self.epoch, config_supplier())
+            header: "tuple[int, dict[int, tuple] | None]" = (self.epoch, config_supplier())
         else:
             header = (self.epoch, None)
-        if os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
-            from repro.analysis.sanitizer import check_sync_header
-
-            check_sync_header(self, slot, header[0], header[1])
         return header
 
     def submit(self, slot: int, fn, task) -> "Future":
         """Dispatch ``fn(task)`` to ``slot``'s resident worker."""
-        if os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
-            from repro.analysis.sanitizer import check_submit
-
-            check_submit(self, slot, task)
         executor = self._executors[slot]
         if executor is None:
             executor = ProcessPoolExecutor(
@@ -638,12 +575,14 @@ class ShardPool:
         self.tasks_dispatched += 1
         size = 0
         if isinstance(task, tuple):
-            # Every payload field — including the router-config blob on
-            # epoch bumps — is wire-encoded bytes now, so the exact ship
-            # size is one generic pass.
             for field in task:
                 if isinstance(field, (bytes, bytearray)):
                     size += len(field)
+            config = task[1] if len(task) >= 2 else None
+            if config is not None:
+                # Router config still pickles (policy objects are not
+                # codec material) but only ships on epoch bumps.
+                size += len(pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL))
         self.ship_bytes += size
         return executor.submit(fn, task)
 
@@ -655,5 +594,4 @@ class ShardPool:
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the worker processes, release the snapshot (idempotent)."""
-        self._snapshot_token = None
-        _teardown_pool(self._executors, self._token_holder, wait=wait)
+        _teardown_pool(self._executors, self._snapshot_token, wait=wait)

@@ -17,7 +17,7 @@ incremental entry point over the batch engine for that shape of input:
   it inherits the full scheduler — sequential core, resident sharded
   service, ``"auto"`` policy — unchanged.
 * :func:`parse_event` / :func:`read_event_stream` decode the JSON-lines
-  wire format the ``repro-bgp stream`` CLI reads (one object per line:
+  format the ``repro-bgp stream`` CLI reads (one object per line:
   ``{"origin": 65001, "prefix": "10.0.0.0/24", "withdraw": false,
   "communities": ["65001:666"], "spoofed_origin": 0}`` — only
   ``origin`` and ``prefix`` are required).
@@ -34,7 +34,6 @@ property-style test of exactly that.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -98,7 +97,6 @@ class SimulatorService:
         simulator: "BgpSimulator",
         window: int = DEFAULT_WINDOW,
         shards: int | str | None = None,
-        residency: str | None = None,
     ):
         if window < 1:
             raise RoutingError(f"stream window must be >= 1, got {window}")
@@ -106,14 +104,8 @@ class SimulatorService:
         self.window = window
         #: Per-drain shard policy override (None: the simulator's own).
         self.shards = shards
-        #: Residency policy scoped over the service's context-manager
-        #: lifetime (None: whatever provider is already active).  A
-        #: long-running stream daemon under ``"auto"``/``"pinned"`` keeps
-        #: its workers warm across simulator close/re-acquire cycles.
-        self.residency = residency
         self.stats = StreamStats()
         self._pending: dict[tuple[int, Prefix], RoutingEvent] = {}
-        self._residency_scope = None
 
     def pending_events(self) -> list[RoutingEvent]:
         """The currently buffered (already coalesced) events, in order."""
@@ -148,39 +140,44 @@ class SimulatorService:
         if not batch:
             return SimulationReport()
         self.stats.batches += 1
-        report = self.simulator.apply(batch, shards=self.shards)
-        if os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
-            from repro.analysis.sanitizer import check_drain
-
-            check_drain(self.simulator)
-        return report
+        return self.simulator.apply(batch, shards=self.shards)
 
     def __enter__(self) -> "SimulatorService":
-        if self.residency is not None:
-            from repro.routing.residency import residency_scope
-
-            self._residency_scope = residency_scope(self.residency)
-            self._residency_scope.__enter__()
         return self
 
     def __exit__(self, exc_type, _exc, _tb) -> None:
-        try:
-            if exc_type is None:
-                self.drain()
-        finally:
-            scope, self._residency_scope = self._residency_scope, None
-            if scope is not None:
-                scope.__exit__(exc_type, _exc, _tb)
+        if exc_type is None:
+            self.drain()
 
 
-# ------------------------------------------------------------------ wire format
+# ---------------------------------------------------------------- JSON lines
 _EVENT_KEYS = frozenset(
     {"origin", "origin_asn", "prefix", "withdraw", "communities", "spoofed_origin", "spoofed_origin_asn"}
 )
 
 
+#: The largest 4-octet AS number.
+_MAX_ASN = (1 << 32) - 1
+
+
+def _asn_field(name: str, value) -> int:
+    """``value`` as an AS number: a JSON integer (not a bool or float) in 0..2**32-1."""
+    if type(value) is not int or not 0 <= value <= _MAX_ASN:
+        raise RoutingError(
+            f"stream event {name} must be an AS number (a JSON integer in 0..{_MAX_ASN}), "
+            f"got {value!r}"
+        )
+    return value
+
+
 def parse_event(record: dict) -> RoutingEvent:
-    """Decode one JSON-lines record into a :class:`RoutingEvent`."""
+    """Decode one JSON-lines record into a :class:`RoutingEvent`.
+
+    Types are strict: ``origin`` and ``spoofed_origin`` are JSON integers
+    in the 4-octet ASN range, ``withdraw`` is a JSON boolean and
+    ``communities`` a JSON list.  Optional fields may be omitted but not
+    given another type (``null`` included).
+    """
     if not isinstance(record, dict):
         raise RoutingError(f"stream event must be a JSON object, got {type(record).__name__}")
     unknown = set(record) - _EVENT_KEYS
@@ -193,30 +190,33 @@ def parse_event(record: dict) -> RoutingEvent:
     prefix = record.get("prefix")
     if origin is None or prefix is None:
         raise RoutingError("stream event needs at least 'origin' and 'prefix'")
-    try:
-        origin = int(origin)
-    except (TypeError, ValueError):
-        raise RoutingError(f"stream event origin must be an AS number, got {origin!r}") from None
+    origin = _asn_field("origin", origin)
     try:
         prefix = Prefix.from_string(str(prefix))
     except PrefixError as exc:
         raise RoutingError(f"bad stream event prefix {prefix!r}: {exc}") from None
-    communities = record.get("communities")
-    spoofed = record.get("spoofed_origin", record.get("spoofed_origin_asn"))
+    withdraw = record.get("withdraw", False)
+    if type(withdraw) is not bool:
+        raise RoutingError(f"stream event withdraw must be a JSON boolean, got {withdraw!r}")
+    communities = record.get("communities", [])
+    if not isinstance(communities, list):
+        raise RoutingError(f"stream event communities must be a JSON list, got {communities!r}")
+    spoofed = None
+    for key in ("spoofed_origin", "spoofed_origin_asn"):
+        if key in record:
+            spoofed = _asn_field(key, record[key])
+            break
     try:
-        # Expected failures: a malformed community string/value
-        # (CommunityError), a non-iterable communities field or
-        # non-numeric spoofed origin (TypeError/ValueError from the
-        # star-unpack and int() coercions).
-        return RoutingEvent(
-            origin_asn=origin,
-            prefix=prefix,
-            withdraw=bool(record.get("withdraw", False)),
-            communities=CommunitySet.of(*communities) if communities else None,
-            spoofed_origin_asn=None if spoofed is None else int(spoofed),
-        )
+        community_set = CommunitySet.of(*communities) if communities else None
     except (CommunityError, TypeError, ValueError) as exc:
         raise RoutingError(f"bad stream event {record!r}: {exc}") from None
+    return RoutingEvent(
+        origin_asn=origin,
+        prefix=prefix,
+        withdraw=withdraw,
+        communities=community_set,
+        spoofed_origin_asn=spoofed,
+    )
 
 
 def read_event_stream(lines: Iterable[str]) -> Iterator[RoutingEvent]:

@@ -25,8 +25,7 @@ LEB128 varints; a prefix is ``varint(family) varint(length)
 varint(network)``; every set-valued field (communities, suppress_to,
 announce_only_to) is sorted before encoding, which makes the encoding
 canonical: encode∘decode is byte-stable, the property the
-``REPRO_SANITIZE=1`` round-trip audit (:func:`audit_blob`) checks on
-every shipped envelope.
+round-trip audit (:func:`audit_blob`) checks.
 
 Decoding is **interning**: an :class:`AttributeInterner` (one per
 simulator, parent and worker side) canonicalises every decoded
@@ -72,7 +71,6 @@ KIND_EVENTS = 0x45  # 'E'
 KIND_ADDITIONS = 0x41  # 'A'
 KIND_ITEMS = 0x49  # 'I'
 KIND_OBSERVATIONS = 0x4F  # 'O'
-KIND_CONFIG = 0x43  # 'C'
 
 _KIND_NAMES = {
     KIND_STATES: "states",
@@ -80,7 +78,6 @@ _KIND_NAMES = {
     KIND_ADDITIONS: "additions",
     KIND_ITEMS: "items",
     KIND_OBSERVATIONS: "observations",
-    KIND_CONFIG: "config",
 }
 
 
@@ -730,66 +727,6 @@ def decode_observations(
     return groups
 
 
-# ------------------------------------------------------------ config (kind C)
-def _write_config_body(encoder: _Encoder, config: "dict[int, tuple]") -> None:
-    body = encoder.body
-    tables: "dict[bytes, int]" = {}
-    pickles: list[bytes] = []
-    entries: list[tuple[int, int]] = []
-    for asn in sorted(config):
-        raw = pickle.dumps(tuple(config[asn]), protocol=pickle.HIGHEST_PROTOCOL)
-        table_id = tables.get(raw)
-        if table_id is None:
-            table_id = len(pickles)
-            tables[raw] = table_id
-            pickles.append(raw)
-        entries.append((asn, table_id))
-    _write_uvarint(body, len(pickles))
-    for raw in pickles:
-        _write_uvarint(body, len(raw))
-        body += raw
-    _write_uvarint(body, len(entries))
-    for asn, table_id in entries:
-        _write_uvarint(body, asn)
-        _write_uvarint(body, table_id)
-
-
-def encode_config(config: "dict[int, tuple]", format_name: "str | None" = None) -> bytes:
-    """Encode a :func:`~repro.routing.shard.capture_router_config` capture.
-
-    Policy objects are not codec material, so each *distinct* per-router
-    tuple still rides as a pickle — but deduplicated by encoded bytes:
-    a topology where thousands of routers share a handful of role-derived
-    configurations ships each distinct configuration once, plus a varint
-    ``(asn, table_id)`` pair per router.  Decoding shares one unpickled
-    tuple per table entry, which is safe because the routing layer treats
-    policy objects as immutable once installed (hand-swapping a new
-    object is the reconfiguration signal — see ``capture_router_config``).
-    """
-    return _encode(KIND_CONFIG, dict(config), _write_config_body, format_name)
-
-
-def decode_config(
-    blob: bytes, interner: "AttributeInterner | None" = None
-) -> "dict[int, tuple]":
-    reader, tables = _open(blob, KIND_CONFIG, interner)
-    if reader is None:
-        return tables
-    shared: list[tuple] = []
-    for _ in range(reader.uvarint()):
-        length = reader.uvarint()
-        end = reader.pos + length
-        if end > len(reader.data):
-            raise WireError("truncated wire blob")
-        shared.append(pickle.loads(reader.data[reader.pos : end]))
-        reader.pos = end
-    config: "dict[int, tuple]" = {}
-    for _ in range(reader.uvarint()):
-        asn = reader.uvarint()
-        config[asn] = _Tables._table_ref(shared, reader.uvarint(), "config table")
-    return config
-
-
 # ------------------------------------------------------------------- auditing
 _CODECS = {
     KIND_STATES: (encode_states, decode_states),
@@ -797,7 +734,6 @@ _CODECS = {
     KIND_ADDITIONS: (encode_additions, decode_additions),
     KIND_ITEMS: (encode_items, decode_items),
     KIND_OBSERVATIONS: (encode_observations, decode_observations),
-    KIND_CONFIG: (encode_config, decode_config),
 }
 
 
@@ -805,9 +741,8 @@ def audit_blob(blob: bytes) -> "str | None":
     """Round-trip audit one blob: decode → re-encode → decode → compare.
 
     Returns ``None`` for a clean round trip, otherwise a description of
-    the first diverging field.  Used by the ``REPRO_SANITIZE=1`` submit
-    hook, so it must never mutate anything — and it does not: both
-    decodes use throwaway interners.
+    the first diverging field.  It never mutates anything: both decodes
+    use throwaway interners.
     """
     if len(blob) < 2 or blob[1] not in _CODECS:
         return f"unrecognised blob header {blob[:2]!r}"
@@ -847,31 +782,8 @@ def _field_divergence(label: str, left, right, fields: tuple) -> str:
     return f"{label}: {left!r} != {right!r}"
 
 
-def _config_divergence(left: "dict[int, tuple]", right: "dict[int, tuple]") -> "str | None":
-    """Compare two decoded config captures by *pickled value*.
-
-    Policy objects compare by identity, so the generic ``left == right``
-    check would flag every round trip (decoding necessarily builds new
-    objects).  Two captures agree when every router's tuple re-pickles
-    to identical bytes — the same equivalence the dedup table uses.
-    """
-    if left.keys() != right.keys():
-        return f"config: router sets differ ({sorted(left)} != {sorted(right)})"
-    for asn in sorted(left):
-        a, b = left[asn], right[asn]
-        if a is b or a == b:
-            continue
-        if pickle.dumps(tuple(a), protocol=pickle.HIGHEST_PROTOCOL) != pickle.dumps(
-            tuple(b), protocol=pickle.HIGHEST_PROTOCOL
-        ):
-            return f"config[{asn}]: {a!r} != {b!r}"
-    return None
-
-
 def _divergence(kind: int, left, right) -> "str | None":
     """Name the first field where two decoded payloads differ."""
-    if kind == KIND_CONFIG:
-        return _config_divergence(left, right)
     if left == right:
         return None
     name = _KIND_NAMES[kind]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from repro.bgp.rib import AdjRibIn, LocRib, RibSnapshot
 from repro.bgp.route import Announcement, RouteEntry
 from repro.exceptions import AttributeError_, MessageError, MrtError, MrtTruncatedError
 from repro.mrt.entries import Bgp4mpMessage, PeerEntry, PeerIndexTable, RibEntry, RibPrefixRecord
-from repro.mrt.reader import MrtReader, iter_raw_records, read_stream
+from repro.mrt.reader import MrtReader, iter_raw_records, read_records, read_stream
 from repro.mrt.writer import (
     MrtWriter,
     encode_bgp4mp_message,
@@ -288,6 +290,54 @@ class TestMrt:
         data = encode_bgp4mp_message(self.make_message())
         with pytest.raises(MrtTruncatedError):
             list(iter_raw_records(data[:-5]))
+
+    def _written_file(self, tmp_path) -> tuple[Path, list[int]]:
+        """Five records of different sizes in one file, plus each header's offset."""
+        path = tmp_path / "updates.mrt"
+        with open(path, "wb") as handle:
+            writer = MrtWriter(handle)
+            for i in range(5):
+                message = self.make_message(timestamp=1522540800 + i)
+                communities = CommunitySet.of(*(f"3356:{c}" for c in range(i + 1)))
+                message.update.attributes = make_attributes(communities=communities)
+                writer.write_message(message)
+        data = path.read_bytes()
+        offsets, offset = [], 0
+        while offset < len(data):
+            offsets.append(offset)
+            offset += 12 + struct.unpack("!I", data[offset + 8:offset + 12])[0]
+        assert len(offsets) == 5 and len(set(offsets[i + 1] - offsets[i] for i in range(4))) > 1
+        return path, offsets
+
+    def test_truncation_after_a_header_names_record_and_offset(self, tmp_path):
+        path, offsets = self._written_file(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: offsets[3] + 12])
+        with pytest.raises(
+            MrtTruncatedError,
+            match=rf"^record 3 at offset {offsets[3]}: truncated MRT record payload$",
+        ):
+            read_records(path)
+
+    def test_truncation_mid_payload_names_record_and_offset(self, tmp_path):
+        path, offsets = self._written_file(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: (offsets[2] + offsets[3]) // 2 + 6])
+        with pytest.raises(
+            MrtTruncatedError,
+            match=rf"^record 2 at offset {offsets[2]}: truncated MRT record payload$",
+        ):
+            read_records(path)
+
+    def test_truncation_mid_header_names_record_and_offset(self, tmp_path):
+        path, offsets = self._written_file(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: offsets[4] + 5])
+        with pytest.raises(
+            MrtTruncatedError,
+            match=rf"^record 4 at offset {offsets[4]}: truncated MRT common header$",
+        ):
+            read_records(path)
 
     def test_reader_messages_filter(self):
         blob = encode_peer_index_table(

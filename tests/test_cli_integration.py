@@ -239,6 +239,23 @@ class TestRunParamErrors:
         assert "'probes' must be an integer" in result["error"]
         assert "'xyz'" in result["error"]
 
+    def test_negative_probe_count_is_a_clean_experiment_error(self, capsys):
+        """probes=-3 fails in the Atlas deployment as a captured ProbingError."""
+        assert main(["run", "blackhole-sweep", "--param", "probes=-3", "--json"]) == 1
+        result = json.loads(capsys.readouterr().out)
+        assert result["status"] == "error"
+        assert result["error"].startswith("ProbingError:")
+        assert "-3" in result["error"]
+
+    @pytest.mark.parametrize("probes", ["-3", "0", "many"])
+    def test_sweep_probes_must_be_a_positive_integer(self, probes, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--probes", probes])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--probes: expected a positive integer" in err
+        assert "Traceback" not in err
+
 
 class TestStreamCli:
     def _origins(self, seed):

@@ -91,6 +91,11 @@ class TestLookingGlassAndAtlas:
         with pytest.raises(ProbingError):
             AtlasPlatform([])
 
+    @pytest.mark.parametrize("probe_count", [0, -3])
+    def test_atlas_deploy_rejects_non_positive_probe_counts(self, probe_count):
+        with pytest.raises(ProbingError, match="at least 1"):
+            AtlasPlatform.deploy(build_figure2_topology(), probe_count=probe_count)
+
     def test_ip2as_mapping(self, wild_setup):
         topology, *_rest = wild_setup
         mapper = Ip2AsMapper.from_topology(topology)

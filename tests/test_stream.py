@@ -1,4 +1,4 @@
-"""The streaming front end: coalescing, feed/drain, and the wire format."""
+"""The streaming front end: coalescing, feed/drain, and the JSON-lines format."""
 
 from __future__ import annotations
 
@@ -185,7 +185,7 @@ class TestWireFormat:
     def test_parse_full_event_with_aliases(self):
         event = parse_event(
             {
-                "origin_asn": "65001",
+                "origin_asn": 65001,
                 "prefix": "10.0.0.0/24",
                 "withdraw": True,
                 "communities": ["65001:666"],
@@ -211,6 +211,39 @@ class TestWireFormat:
     def test_parse_rejections(self, record, fragment):
         with pytest.raises(RoutingError, match=fragment):
             parse_event(record)
+
+    @pytest.mark.parametrize(
+        "line, fragment",
+        [
+            ('"withdraw": "false"', "withdraw must be a JSON boolean"),
+            ('"withdraw": 0', "withdraw must be a JSON boolean"),
+            ('"withdraw": null', "withdraw must be a JSON boolean"),
+            ('"origin": true', "origin must be an AS number"),
+            ('"origin": 65001.9', "origin must be an AS number"),
+            ('"origin": "65001"', "origin must be an AS number"),
+            ('"origin": -1', "origin must be an AS number"),
+            ('"origin": 4294967296', "origin must be an AS number"),
+            ('"spoofed_origin": false', "spoofed_origin must be an AS number"),
+            ('"spoofed_origin": 0.0', "spoofed_origin must be an AS number"),
+            ('"spoofed_origin": -5', "spoofed_origin must be an AS number"),
+            ('"spoofed_origin_asn": 4294967296', "spoofed_origin_asn must be an AS number"),
+            ('"communities": "65001:666"', "communities must be a JSON list"),
+            ('"communities": {"65001": 666}', "communities must be a JSON list"),
+        ],
+    )
+    def test_strict_field_types_rejected_with_line_number(self, line, fragment):
+        record = f'{{"origin": 65001, "prefix": "10.0.0.0/24", {line}}}'
+        if line.startswith('"origin"'):
+            record = f'{{"prefix": "10.0.0.0/24", {line}}}'
+        with pytest.raises(RoutingError, match=f"stream line 2: stream event {fragment}"):
+            list(read_event_stream(["# header", record]))
+
+    def test_asn_range_bounds_accepted(self):
+        event = parse_event(
+            {"origin": 4294967295, "prefix": "10.0.0.0/24", "spoofed_origin": 0}
+        )
+        assert event.origin_asn == 4294967295
+        assert event.spoofed_origin_asn == 0
 
     def test_read_event_stream_skips_blanks_and_comments(self):
         lines = [

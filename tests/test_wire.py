@@ -3,7 +3,7 @@
 The codec's contract is *lossless canonical* encoding: ``decode(encode(x))
 == x`` (and hash-equal, since every payload object is frozen), and the
 encoding itself is byte-stable — ``encode(decode(blob)) == blob`` — which
-is the invariant the ``REPRO_SANITIZE=1`` submit audit leans on.  The
+is the invariant :func:`~repro.routing.wire.audit_blob` checks.  The
 generators below bias toward the protocol's edges: AS0 origins, 32-bit
 MED/LOCAL_PREF bounds, the per-update community ceiling, empty vs
 ``None`` export scopes, and large-community tuples in arbitrary order.
